@@ -1,16 +1,12 @@
-//! The asynchronous message-passing runtime: one worker thread per list
-//! owner, reached through request/reply channels.
-//!
-//! The synchronous [`Cluster`](crate::Cluster) handles every request in
-//! the caller's thread; this module replaces that with the architecture
-//! the ROADMAP's async item asks for (channels first, sockets later):
+//! The message-passing runtime: one worker thread per list owner,
+//! reached through request/reply channels. It is the crate's only
+//! transport, so every distributed query runs here.
 //!
 //! * [`ClusterRuntime::spawn`] starts one OS thread per list (`m` worker
 //!   threads). Each worker owns its [`SortedList`] and serves typed
 //!   [`Request`] / [`Response`] messages over an [`mpsc`](std::sync::mpsc)
-//!   channel — the
-//!   only way to reach a list is to message its owner, exactly like a
-//!   deployment where each list lives on a different node.
+//!   channel — the only way to reach a list is to message its owner,
+//!   exactly like a deployment where each list lives on a different node.
 //!   [`ClusterRuntime::spawn_replicated`] hosts every list on `r`
 //!   replica workers instead of one, the substrate for failover.
 //! * [`ClusterRuntime::connect`] opens an isolated *session*: every
@@ -18,18 +14,12 @@
 //!   served-access count), so **any number of queries can run
 //!   concurrently against one shared runtime** — each from its own
 //!   thread, each with its own [`NetworkStats`] — without interfering.
-//!   This is where the thread-per-owner design pays off for real (not
-//!   just simulated) wall-clock: `q` concurrent sessions keep all `m`
-//!   owners busy at once.
-//! * [`AsyncClusterSources`] is the session's
-//!   [`SourceSet`] view, so all seven
-//!   `topk_core` algorithms run over the runtime **unmodified** — it
-//!   reuses the exact wire mapping of
-//!   [`ClusterSource`] (one trait call, one
-//!   exchange) and the exact accounting of the synchronous backend, so
-//!   answers, message/payload/round counts *and simulated timings* are
-//!   bit-identical to a [`Cluster`](crate::Cluster) run with the same
-//!   [`LatencyModel`] (pinned by `tests/cross_backend.rs`).
+//!   `q` concurrent sessions keep all `m` owners busy at once.
+//! * [`AsyncClusterSources`] is the session's [`SourceSet`] view, so all
+//!   seven `topk_core` algorithms run over the runtime **unmodified**:
+//!   each trait call is one exchange with the owning worker, so answers
+//!   and access counters equal the in-memory run's, and the network
+//!   figures are pinned by `tests/cross_backend.rs`.
 //!
 //! # Fault tolerance
 //!
@@ -269,7 +259,7 @@ impl SessionOptions {
 /// assert_eq!(result.len(), 3);
 ///
 /// let network = sources.network();
-/// assert_eq!(network.messages, 72); // same wire behaviour as `Cluster`
+/// assert_eq!(network.messages, 72); // one request + one reply per access
 /// // Overlapping the in-round requests beats the serialized schedule.
 /// assert!(network.makespan_nanos() < network.serialized_nanos());
 /// ```
@@ -593,35 +583,36 @@ impl OwnerLink for AsyncOwnerLink<'_> {
     }
 }
 
-/// One session's [`SourceSet`] over a [`ClusterRuntime`]: the asynchronous
-/// counterpart of [`ClusterSources`](crate::ClusterSources).
+/// One session's [`SourceSet`] over a [`ClusterRuntime`].
 ///
 /// Every trait call is one request/reply exchange with the owning worker
-/// thread, through the same wire mapping as the synchronous backend —
-/// so every `topk_core` algorithm runs over it unmodified, with identical
-/// answers and identical network accounting. Each owner is reached
-/// through a resilient link (retry, backoff, replica failover — see
-/// [`crate::fault`]); fault-free the wrapper is a transparent
-/// pass-through, so the pins below hold bit-for-bit.
+/// thread, so every `topk_core` algorithm runs over it unmodified, with
+/// the in-memory run's answers and access counters. Each owner is
+/// reached through a resilient link (retry, backoff, replica failover —
+/// see [`crate::fault`]); fault-free the wrapper is a transparent
+/// pass-through.
 ///
 /// ```
 /// use topk_core::examples_paper::figure2_database;
 /// use topk_core::{Bpa2, TopKAlgorithm, TopKQuery};
-/// use topk_distributed::{Cluster, ClusterRuntime, ClusterSources};
+/// use topk_distributed::{AsyncClusterSources, ClusterRuntime};
 ///
 /// let db = figure2_database();
 /// let query = TopKQuery::top(3);
 /// let bpa2 = Bpa2::default();
-///
-/// let cluster = Cluster::new(&db);
-/// let sync = bpa2.run_on(&mut ClusterSources::new(&cluster), &query).unwrap();
+/// let local = bpa2.run(&db, &query).unwrap();
 ///
 /// let runtime = ClusterRuntime::spawn(&db);
 /// let mut session = runtime.connect();
-/// let along = bpa2.run_on(&mut session, &query).unwrap();
+/// let remote = bpa2.run_on(&mut session, &query).unwrap();
+/// assert!(remote.scores_match(&local, 1e-9));
+/// assert_eq!(remote.stats().accesses, local.stats().accesses);
+/// assert_eq!(session.network().messages, 72);
 ///
-/// assert!(along.scores_match(&sync, 1e-9));
-/// assert_eq!(session.network(), cluster.network());
+/// // Batched sessions coalesce sequential sorted scans into blocks.
+/// let mut batched = AsyncClusterSources::batched(&runtime, 4);
+/// let scanned = topk_core::NaiveScan.run_on(&mut batched, &query).unwrap();
+/// assert!(scanned.scores_match(&local, 1e-9));
 /// ```
 #[derive(Debug)]
 pub struct AsyncClusterSources<'a> {
@@ -633,13 +624,7 @@ pub struct AsyncClusterSources<'a> {
 }
 
 impl<'a> AsyncClusterSources<'a> {
-    /// Opens a session with one plain per-owner source (equivalent to
-    /// [`ClusterRuntime::connect`]).
-    pub fn new(runtime: &'a ClusterRuntime) -> Self {
-        Self::build(runtime, SessionOptions::default(), &[])
-    }
-
-    /// As [`AsyncClusterSources::new`], with every source wrapped in a
+    /// As [`ClusterRuntime::connect`], with every source wrapped in a
     /// [`BatchingSource`] so sequential sorted scans travel as
     /// `SortedBlock` messages of `block_len` entries.
     pub fn batched(runtime: &'a ClusterRuntime, block_len: usize) -> Self {
@@ -789,9 +774,11 @@ mod tests {
     use topk_core::{AlgorithmKind, Bpa2, NaiveScan, TopKAlgorithm, TopKError, TopKQuery, Tput};
     use topk_lists::SourceErrorKind;
 
-    use crate::cluster::Cluster;
     use crate::fault::FaultKind;
-    use crate::source::ClusterSources;
+
+    /// (messages, payload units, rounds, serialized ns, makespan ns).
+    const PINNED_FIGURE2_BPA2_LAN7: (u64, u64, usize, u64, u64) =
+        (72, 100, 4, 2_940_448, 1_463_132);
 
     #[test]
     fn runtime_mirrors_database_dimensions() {
@@ -805,26 +792,31 @@ mod tests {
 
     #[test]
     fn a_session_matches_the_synchronous_cluster_exactly() {
+        // The figures the synchronous in-thread cluster reported for this
+        // run before it was removed: BPA2 on Figure 2, LAN links seeded 7.
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let latency = LatencyModel::lan(3, 7);
-
-        let cluster = Cluster::with_latency(&db, TrackerKind::BitArray, latency.clone());
-        let mut sync = ClusterSources::new(&cluster);
-        let reference = Bpa2::default().run_on(&mut sync, &query).unwrap();
-
-        let runtime = ClusterRuntime::with_latency(&db, TrackerKind::BitArray, latency);
+        let runtime =
+            ClusterRuntime::with_latency(&db, TrackerKind::BitArray, LatencyModel::lan(3, 7));
         let mut session = runtime.connect();
         let result = Bpa2::default().run_on(&mut session, &query).unwrap();
+        let reference = Bpa2::default().run(&db, &query).unwrap();
 
         assert!(result.scores_match(&reference, 1e-9));
         assert_eq!(result.stats().accesses, reference.stats().accesses);
+        let network = session.network();
         assert_eq!(
-            session.network(),
-            cluster.network(),
-            "messages, payload, rounds and simulated timings must be bit-identical"
+            (
+                network.messages,
+                network.payload_units,
+                network.rounds(),
+                network.serialized_nanos(),
+                network.makespan_nanos(),
+            ),
+            PINNED_FIGURE2_BPA2_LAN7,
+            "messages, payload, rounds and simulated timings are pinned"
         );
-        assert_eq!(session.accesses_served(), cluster.accesses_served());
+        assert_eq!(session.accesses_served(), 36);
         assert_eq!(session.fault_stats(), crate::fault::FaultStats::default());
     }
 

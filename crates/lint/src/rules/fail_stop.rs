@@ -7,13 +7,17 @@
 //! A stray `.unwrap()` in the paged store or the distributed source
 //! turns an injected I/O fault into an unclassified abort that the
 //! fault-injection tests cannot distinguish from a bug. In the patrolled
-//! modules, `.unwrap()`, `.expect(…)` and `panic!` are violations outside
+//! modules, `.unwrap()`, `.expect(…)` and the panicking macros (`panic!`,
+//! `unreachable!`, `todo!`, `unimplemented!`) are violations outside
 //! tests; real failures route through `SourceError::raise()` or return
 //! `io::Result`, and genuinely unreachable arms carry an allow with the
 //! invariant that makes them unreachable.
 
 use crate::rules::{under_any, Finding, Rule};
 use crate::source::SourceFile;
+
+/// Macros that abort the thread: each is a `panic!` under another name.
+const PANICKING_MACROS: &[&str] = &["panic!", "unreachable!", "todo!", "unimplemented!"];
 
 /// Modules bound to the fail-stop contract.
 const SCOPE: &[&str] = &[
@@ -31,7 +35,7 @@ impl Rule for FailStop {
     }
 
     fn description(&self) -> &'static str {
-        "no unwrap/expect/panic! in storage or the distributed source; use SourceError::raise()"
+        "no unwrap/expect/panicking macros in storage or the distributed source; use SourceError::raise()"
     }
 
     fn applies(&self, rel_path: &str) -> bool {
@@ -54,9 +58,11 @@ impl Rule for FailStop {
                 Some(".unwrap()")
             } else if is_method_call("expect") {
                 Some(".expect(…)")
-            } else if t.is_ident("panic") && file.sig_next(i).is_some_and(|n| toks[n].is_punct('!'))
-            {
-                Some("panic!")
+            } else if file.sig_next(i).is_some_and(|n| toks[n].is_punct('!')) {
+                PANICKING_MACROS
+                    .iter()
+                    .find(|name| t.is_ident(name.trim_end_matches('!')))
+                    .copied()
             } else {
                 None
             };

@@ -118,7 +118,7 @@ impl Database {
     /// # Errors
     ///
     /// Returns an error if the list index is out of range, the item is
-    /// unknown or the score is NaN.
+    /// unknown or the score is not finite.
     pub fn update_score(
         &mut self,
         list: usize,
@@ -141,7 +141,7 @@ impl Database {
     /// # Errors
     ///
     /// Returns an error if the score count differs from `m`, any score is
-    /// NaN, or the item is already present.
+    /// not finite, or the item is already present.
     pub fn insert_item(&mut self, item: ItemId, scores: &[f64]) -> Result<(), ListError> {
         if scores.len() != self.lists.len() {
             return Err(ListError::ScoreCountMismatch {
@@ -288,6 +288,32 @@ mod tests {
         assert_eq!(db.lists().count(), 2);
         assert_eq!(db.as_slice().len(), 2);
         assert_eq!(db.items().count(), 3);
+    }
+
+    /// Regression: ±∞ used to pass ingress, and every algorithm then
+    /// dropped the item whose overall score became `∞ + (−∞) = NaN`.
+    #[test]
+    fn non_finite_scores_are_rejected_with_a_typed_error() {
+        assert_eq!(
+            Database::from_unsorted_lists(vec![
+                vec![(1, f64::INFINITY), (2, 1.0)],
+                vec![(1, f64::NEG_INFINITY), (2, 2.0)],
+            ])
+            .unwrap_err(),
+            ListError::NonFiniteScore
+        );
+        let mut db = db();
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(
+                db.update_score(0, ItemId(1), bad).unwrap_err(),
+                ListError::NonFiniteScore
+            );
+            assert_eq!(
+                db.insert_item(ItemId(4), &[1.0, bad]).unwrap_err(),
+                ListError::NonFiniteScore
+            );
+        }
+        assert_eq!(db.epochs(), vec![0, 0], "rejected mutations change nothing");
     }
 
     #[test]
@@ -446,7 +472,7 @@ mod tests {
         );
         assert_eq!(
             db.insert_item(ItemId(4), &[1.0, f64::NAN]).unwrap_err(),
-            ListError::NanScore
+            ListError::NonFiniteScore
         );
         assert_eq!(
             db.insert_item(ItemId(1), &[1.0, 2.0]).unwrap_err(),

@@ -7,8 +7,8 @@ use crate::item::ItemId;
 /// Errors raised while building or validating sorted lists and databases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ListError {
-    /// A local score was NaN.
-    NanScore,
+    /// A local score was NaN or infinite.
+    NonFiniteScore,
     /// A list was empty where a non-empty list is required.
     EmptyList,
     /// The same item appears more than once in a single list.
@@ -58,7 +58,7 @@ pub enum ListError {
 impl fmt::Display for ListError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ListError::NanScore => write!(f, "local scores must not be NaN"),
+            ListError::NonFiniteScore => write!(f, "local scores must be finite (not NaN or ±∞)"),
             ListError::EmptyList => write!(f, "sorted list must contain at least one entry"),
             ListError::DuplicateItem(item) => {
                 write!(f, "item {item} appears more than once in the list")
@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn errors_format_human_readable_messages() {
-        assert!(ListError::NanScore.to_string().contains("NaN"));
+        assert!(ListError::NonFiniteScore.to_string().contains("finite"));
         assert!(ListError::DuplicateItem(ItemId(3))
             .to_string()
             .contains("d3"));

@@ -91,7 +91,7 @@ impl fmt::Display for Position {
 /// The paper defines local scores as non-negative reals. `Score` wraps an
 /// `f64` and
 ///
-/// * rejects NaN at construction ([`Score::new`]),
+/// * rejects NaN and ±∞ at construction ([`Score::new`]),
 /// * orders by `f64::total_cmp`, so scores can be sorted and used as keys
 ///   in ordered collections without `unwrap`ping partial comparisons.
 ///
@@ -102,12 +102,14 @@ impl fmt::Display for Position {
 pub struct Score(f64);
 
 impl Score {
-    /// Creates a score, rejecting NaN.
+    /// Creates a score, rejecting every non-finite value (NaN and ±∞):
+    /// an infinite local score makes overall scores `∞ + (−∞) = NaN`,
+    /// which no threshold comparison can rank.
     pub fn new(value: f64) -> Result<Self, ListError> {
-        if value.is_nan() {
-            Err(ListError::NanScore)
-        } else {
+        if value.is_finite() {
             Ok(Score(value))
+        } else {
+            Err(ListError::NonFiniteScore)
         }
     }
 
@@ -199,7 +201,13 @@ mod tests {
     #[test]
     fn score_rejects_nan() {
         assert!(Score::new(f64::NAN).is_err());
+        assert_eq!(Score::new(f64::INFINITY), Err(ListError::NonFiniteScore));
+        assert_eq!(
+            Score::new(f64::NEG_INFINITY),
+            Err(ListError::NonFiniteScore)
+        );
         assert!(Score::new(1.5).is_ok());
+        assert!(Score::new(f64::MAX).is_ok());
     }
 
     #[test]

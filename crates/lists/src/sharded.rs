@@ -211,7 +211,7 @@ impl ShardedList {
     ///
     /// # Errors
     ///
-    /// Returns an error if the item is not present or the score is NaN.
+    /// Returns an error if the item is not present or the score is not finite.
     pub fn update_score(&mut self, item: ItemId, score: f64) -> Result<ScoreUpdate, ListError> {
         let new_score = Score::new(score)?;
         let p_old = *self.index.get(&item).ok_or(ListError::UnknownItem(item))?;
@@ -237,7 +237,7 @@ impl ShardedList {
     ///
     /// # Errors
     ///
-    /// Returns an error if the score is NaN or the item is already present.
+    /// Returns an error if the score is not finite or the item is already present.
     pub fn insert(&mut self, item: ItemId, score: f64) -> Result<(), ListError> {
         let score = Score::new(score)?;
         if self.index.contains_key(&item) {
@@ -775,7 +775,7 @@ impl ShardedDatabase {
     /// # Errors
     ///
     /// Returns an error if the list index is out of range, the item is not
-    /// present, or the score is NaN.
+    /// present, or the score is not finite.
     pub fn update_score(
         &mut self,
         list: usize,
@@ -798,7 +798,7 @@ impl ShardedDatabase {
     ///
     /// # Errors
     ///
-    /// Returns an error if the score count mismatches, any score is NaN,
+    /// Returns an error if the score count mismatches, any score is not finite,
     /// or the item is already present.
     pub fn insert_item(&mut self, item: ItemId, scores: &[f64]) -> Result<(), ListError> {
         if scores.len() != self.lists.len() {
@@ -1130,6 +1130,21 @@ mod tests {
         let update = list.update_score(ItemId(10), 99.0).unwrap();
         assert_eq!(update.new_position, Position::FIRST);
         assert_eq!(list.entry(1), Some((ItemId(10), Score::new(99.0).unwrap())));
+    }
+
+    #[test]
+    fn sharded_mutations_reject_non_finite_scores() {
+        let mut sharded = ShardedDatabase::new(&db(), 3);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                sharded.update_score(0, ItemId(1), bad).unwrap_err(),
+                ListError::NonFiniteScore
+            );
+            assert_eq!(
+                sharded.insert_item(ItemId(11), &[1.0, bad]).unwrap_err(),
+                ListError::NonFiniteScore
+            );
+        }
     }
 
     #[test]

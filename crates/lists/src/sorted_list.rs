@@ -102,7 +102,7 @@ impl SortedList {
     ///
     /// # Errors
     ///
-    /// Returns an error if the input is empty, contains NaN scores or
+    /// Returns an error if the input is empty, contains non-finite scores or
     /// contains the same item twice.
     pub fn from_unsorted(pairs: Vec<(ItemId, f64)>) -> Result<Self, ListError> {
         let mut entries = Vec::with_capacity(pairs.len());
@@ -165,7 +165,7 @@ impl SortedList {
     ///
     /// # Errors
     ///
-    /// Returns an error if the score is NaN or the item is already present.
+    /// Returns an error if the score is not finite or the item is already present.
     pub fn insert(&mut self, item: ItemId, score: f64) -> Result<ListDelta, ListError> {
         let score = Score::new(score)?;
         if self.index.contains_key(&item) {
@@ -213,7 +213,7 @@ impl SortedList {
     ///
     /// # Errors
     ///
-    /// Returns an error if the item is not present or the score is NaN.
+    /// Returns an error if the item is not present or the score is not finite.
     pub fn update_score(&mut self, item: ItemId, score: f64) -> Result<ScoreUpdate, ListError> {
         let new_score = Score::new(score)?;
         let from = *self.index.get(&item).ok_or(ListError::UnknownItem(item))?;
@@ -446,7 +446,7 @@ mod tests {
         );
         assert_eq!(
             SortedList::from_unsorted(vec![(ItemId(1), f64::NAN)]).unwrap_err(),
-            ListError::NanScore
+            ListError::NonFiniteScore
         );
     }
 

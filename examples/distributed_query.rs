@@ -2,8 +2,8 @@
 //! list lives at a different node and the dominant cost is the number (and
 //! size) of messages between the query originator and the list owners.
 //!
-//! Every protocol is the corresponding *core* algorithm running over the
-//! `ClusterSources` backend — there is no second implementation. The
+//! Every protocol is the corresponding *core* algorithm running over a
+//! `ClusterRuntime` session — there is no second implementation. The
 //! comparison reports accesses, messages, shipped payload and the
 //! per-round traffic breakdown, then shows the batching decorator
 //! coalescing a full scan into block messages.
@@ -13,10 +13,7 @@
 //! ```
 
 use bpa_topk::datagen::{DatabaseGenerator, UniformGenerator};
-use bpa_topk::distributed::{
-    Cluster, ClusterSources, DistributedBpa, DistributedBpa2, DistributedNaive,
-    DistributedProtocol, DistributedTa,
-};
+use bpa_topk::distributed::{AsyncClusterSources, ClusterRuntime};
 use bpa_topk::prelude::*;
 
 fn main() {
@@ -39,36 +36,37 @@ fn main() {
         "peak round msgs"
     );
 
-    let protocols: Vec<Box<dyn DistributedProtocol>> = vec![
-        Box::new(DistributedNaive),
-        Box::new(DistributedTa),
-        Box::new(DistributedBpa),
-        Box::new(DistributedBpa2),
-    ];
-    let mut reference: Option<Vec<f64>> = None;
-    for protocol in protocols {
-        let mut cluster = Cluster::new(&database);
-        let result = protocol.execute(&mut cluster, &query).expect("valid query");
-        let rounds = result.network.rounds().max(1) as u64;
+    let runtime = ClusterRuntime::spawn(&database);
+    let mut reference: Option<Vec<Score>> = None;
+    for kind in [
+        AlgorithmKind::Naive,
+        AlgorithmKind::Ta,
+        AlgorithmKind::Bpa,
+        AlgorithmKind::Bpa2,
+    ] {
+        let algorithm = kind.create();
+        let mut session = runtime.connect();
+        let result = algorithm.run_on(&mut session, &query).expect("valid query");
+        let network = session.network();
+        let rounds = network.rounds().max(1) as u64;
         println!(
             "{:>20}{:>12}{:>12}{:>18}{:>10}{:>18}{:>18}",
-            protocol.name(),
-            result.accesses,
-            result.network.messages,
-            result.network.payload_units,
-            result.rounds,
-            result.network.messages / rounds,
-            result.network.peak_round().map_or(0, |r| r.messages),
+            format!("distributed-{}", algorithm.name()),
+            session.accesses_served(),
+            network.messages,
+            network.payload_units,
+            result.stats().rounds,
+            network.messages / rounds,
+            network.peak_round().map_or(0, |r| r.messages),
         );
 
         // All protocols return the same top-k score sequence.
-        let scores: Vec<f64> = result.answers.iter().map(|r| r.score.value()).collect();
+        let scores = result.scores();
         match &reference {
             None => reference = Some(scores),
             Some(expected) => assert_eq!(expected, &scores, "protocols must agree"),
         }
     }
-
     println!();
     println!(
         "BPA2 needs the fewest messages and ships the least payload: best positions stay at the \
@@ -80,27 +78,26 @@ fn main() {
     // The batching decorator: the same naive scan, with sequential sorted
     // accesses coalesced into SortedBlock messages of 256 entries.
     println!();
-    println!("Batching (BatchingSource over ClusterSources), naive full scan:");
+    println!("Batching (BatchingSource over a runtime session), naive full scan:");
     for (label, block) in [("per-position", 1), ("blocks of 256", 256)] {
-        let cluster = Cluster::new(&database);
-        let mut sources = if block == 1 {
-            ClusterSources::new(&cluster)
+        let mut session = if block == 1 {
+            runtime.connect()
         } else {
-            ClusterSources::batched(&cluster, block)
+            AsyncClusterSources::batched(&runtime, block)
         };
-        let result = NaiveScan.run_on(&mut sources, &query).expect("valid query");
-        let network = cluster.network();
+        let result = NaiveScan.run_on(&mut session, &query).expect("valid query");
+        let network = session.network();
         println!(
             "{:>20}{:>12}{:>12}{:>18}   top score {:.4}",
             label,
-            cluster.accesses_served(),
+            session.accesses_served(),
             network.messages,
             network.payload_units,
             result.scores()[0].value(),
         );
     }
     println!(
-        "Same answers, ~256x fewer messages. For the async runtime (worker threads, channels) \
-         and simulated LAN/WAN timings of these protocols, run the latency_demo example."
+        "Same answers, ~256x fewer messages. For simulated LAN/WAN timings of these protocols, \
+         run the latency_demo example."
     );
 }

@@ -1,14 +1,16 @@
-//! Cross-backend equivalence: every distributed protocol must behave
-//! exactly like its local (in-memory) counterpart, because both are now
-//! the *same* `topk_core` algorithm running over a different
-//! `SourceSet` backend.
+//! Cross-backend equivalence: every distributed query must behave
+//! exactly like its local (in-memory) counterpart, because both are the
+//! *same* `topk_core` algorithm running over a different `SourceSet`
+//! backend — here a `ClusterRuntime` session.
 //!
 //! The message/payload figures asserted here were captured from the
-//! pre-refactor hand-written protocols (the 431-line `protocol.rs` that
-//! re-implemented TA/BPA/BPA2 against `Cluster`), so this suite pins the
-//! API redesign to the old wire behaviour: same answers, same access
-//! counts, same message counts, same payload units — on the paper's
-//! figure databases and on all three `topk-datagen` families.
+//! original hand-written distributed protocols (which re-implemented
+//! TA/BPA/BPA2 against an in-thread cluster), and the simulated timings
+//! from the synchronous in-thread cluster that later shared the runtime's
+//! wire mapping. Both implementations are gone; the pinned figures keep
+//! the runtime to their wire behaviour: same answers, same access counts,
+//! same message counts, same payload units, same simulated time — on the
+//! paper's figure databases and on all three `topk-datagen` families.
 
 //! The disk-backed paged backend is pinned the same way (see the
 //! "paged" tests at the bottom): `PagedSource` must be indistinguishable
@@ -17,98 +19,103 @@
 //! physical difference visible only in the cache hit/miss counters.
 
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
-use bpa_topk::distributed::{
-    AsyncClusterSources, Cluster, ClusterRuntime, ClusterSources, DistributedBpa, DistributedBpa2,
-    DistributedNaive, DistributedProtocol, DistributedResult, DistributedTa, LatencyModel,
-};
+use bpa_topk::distributed::{AsyncClusterSources, ClusterRuntime, LatencyModel, NetworkStats};
 use bpa_topk::lists::Database;
 use bpa_topk::prelude::*;
 use topk_core::examples_paper::{figure1_database, figure2_database};
 
 /// (accesses, messages, payload units, rounds) captured from the
-/// pre-refactor protocol implementations.
+/// original protocol implementations.
 type Baseline = (u64, u64, u64, u64);
 
-fn scores(result: &DistributedResult) -> Vec<f64> {
-    result.answers.iter().map(|r| r.score.value()).collect()
+/// One query over a fresh runtime session, returning the result, the
+/// session's network figures and the accesses its owners served.
+fn run_distributed(
+    runtime: &ClusterRuntime,
+    kind: AlgorithmKind,
+    query: &TopKQuery,
+) -> (TopKResult, NetworkStats, u64) {
+    let mut session = runtime.connect();
+    let result = kind.create().run_on(&mut session, query).unwrap();
+    (result, session.network(), session.accesses_served())
 }
 
-fn protocols() -> Vec<Box<dyn DistributedProtocol>> {
-    vec![
-        Box::new(DistributedTa),
-        Box::new(DistributedBpa),
-        Box::new(DistributedBpa2),
-    ]
-}
-
-/// The local algorithm a protocol delegates to, for side-by-side runs.
-fn local_counterpart(name: &str) -> Box<dyn TopKAlgorithm> {
-    match name {
-        "distributed-naive" => Box::new(NaiveScan),
-        "distributed-ta" => Box::new(Ta::literal()),
-        "distributed-bpa" => Box::new(Bpa::default()),
-        "distributed-bpa2" => Box::new(Bpa2::default()),
-        other => panic!("unknown protocol {other}"),
-    }
-}
-
-fn check_equivalence(db: &Database, k: usize, protocol: &dyn DistributedProtocol) {
+fn check_equivalence(db: &Database, runtime: &ClusterRuntime, k: usize, kind: AlgorithmKind) {
     let query = TopKQuery::top(k);
-    let local = local_counterpart(protocol.name()).run(db, &query).unwrap();
-    let mut cluster = Cluster::new(db);
-    let remote = protocol.execute(&mut cluster, &query).unwrap();
+    let local = kind.create().run(db, &query).unwrap();
+    let (remote, network, served) = run_distributed(runtime, kind, &query);
 
     // Identical answers, in identical order.
-    let local_scores: Vec<f64> = local.scores().iter().map(|s| s.value()).collect();
-    assert_eq!(scores(&remote), local_scores, "{} k={k}", protocol.name());
-    let local_ids: Vec<u64> = local.item_ids().iter().map(|i| i.0).collect();
-    let remote_ids: Vec<u64> = remote.answers.iter().map(|r| r.item.0).collect();
-    assert_eq!(remote_ids, local_ids, "{} k={k}", protocol.name());
+    assert_eq!(remote.scores(), local.scores(), "{kind:?} k={k}");
+    assert_eq!(remote.item_ids(), local.item_ids(), "{kind:?} k={k}");
 
-    // Identical access counts and rounds: the cluster serves exactly the
+    // Identical access counts and rounds: the owners serve exactly the
     // accesses the in-memory backend counts.
+    assert_eq!(served, local.stats().total_accesses(), "{kind:?} k={k}");
     assert_eq!(
-        remote.accesses,
-        local.stats().total_accesses(),
-        "{} k={k}",
-        protocol.name()
+        remote.stats().accesses,
+        local.stats().accesses,
+        "{kind:?} k={k}"
     );
     assert_eq!(
-        remote.rounds,
+        remote.stats().rounds,
         local.stats().rounds,
-        "{} k={k}",
-        protocol.name()
+        "{kind:?} k={k}"
     );
+
+    // "The number of messages … is proportional to the number of
+    // accesses done to the lists": one request + one response each.
+    assert_eq!(network.messages, 2 * served, "{kind:?} k={k}");
 
     // Per-round network accounting is exhaustive.
-    let per_round_messages: u64 = remote.network.per_round.iter().map(|r| r.messages).sum();
-    assert_eq!(per_round_messages, remote.network.messages);
+    let per_round_messages: u64 = network.per_round.iter().map(|r| r.messages).sum();
+    assert_eq!(per_round_messages, network.messages);
 }
 
-/// Every protocol, over every datagen family, agrees with its local
-/// counterpart and keeps the pre-refactor message economics (two
-/// messages per access).
+/// Every protocol, over the paper's figure databases and every datagen
+/// family, agrees with its local counterpart and keeps the original
+/// message economics (two messages per access); invalid `k` is rejected
+/// over a session exactly as in memory.
 #[test]
 fn protocols_match_local_algorithms_on_all_datagen_families() {
+    for db in [figure1_database(), figure2_database()] {
+        let runtime = ClusterRuntime::spawn(&db);
+        for kind in AlgorithmKind::EVALUATED {
+            for k in [1, 3, 6, 12] {
+                check_equivalence(&db, &runtime, k, kind);
+            }
+        }
+        check_equivalence(&db, &runtime, 3, AlgorithmKind::Naive);
+        for k in [0, 100] {
+            let mut session = runtime.connect();
+            assert!(matches!(
+                Bpa2::default().run_on(&mut session, &TopKQuery::top(k)),
+                Err(TopKError::InvalidK { .. })
+            ));
+        }
+    }
     for kind in [
         DatabaseKind::Uniform,
         DatabaseKind::Gaussian,
         DatabaseKind::Correlated { alpha: 0.05 },
     ] {
         let db = DatabaseSpec::new(kind, 4, 800).generate(42);
-        for protocol in protocols() {
+        let runtime = ClusterRuntime::spawn(&db);
+        for algorithm in AlgorithmKind::EVALUATED {
             for k in [1, 5, 25] {
-                check_equivalence(&db, k, protocol.as_ref());
+                check_equivalence(&db, &runtime, k, algorithm);
             }
         }
         // The naive baseline rides along through the same adapter.
-        check_equivalence(&db, 5, &DistributedNaive);
+        check_equivalence(&db, &runtime, 5, AlgorithmKind::Naive);
     }
 }
 
-/// The exact figures of the pre-refactor `protocol.rs`, on the paper's
-/// figure databases and the three generated families: the redesigned
-/// protocols must reproduce them to the message.
+/// The exact figures of the original protocol implementations, on the
+/// paper's figure databases and the three generated families: runtime
+/// sessions must reproduce them to the message. BPA2 never ships more
+/// payload than BPA (no positions travel to the originator), and a
+/// session reset between two executions reproduces the first one.
 #[test]
 fn network_figures_match_the_pre_refactor_implementations() {
     let cases: Vec<(Database, usize, [Baseline; 3])> = vec![
@@ -116,9 +123,9 @@ fn network_figures_match_the_pre_refactor_implementations() {
             figure1_database(),
             3,
             [
-                (54, 108, 144, 6), // distributed-ta
-                (27, 54, 90, 3),   // distributed-bpa
-                (27, 54, 75, 3),   // distributed-bpa2
+                (54, 108, 144, 6), // distributed TA
+                (27, 54, 90, 3),   // distributed BPA
+                (27, 54, 75, 3),   // distributed BPA2
             ],
         ),
         (
@@ -152,22 +159,38 @@ fn network_figures_match_the_pre_refactor_implementations() {
     ];
 
     for (db, k, baselines) in &cases {
-        for (protocol, &(accesses, messages, payload, rounds)) in protocols().iter().zip(baselines)
+        let runtime = ClusterRuntime::spawn(db);
+        let query = TopKQuery::top(*k);
+        let mut figures = Vec::new();
+        for (kind, &(accesses, messages, payload, rounds)) in
+            AlgorithmKind::EVALUATED.iter().zip(baselines)
         {
-            let mut cluster = Cluster::new(db);
-            let result = protocol.execute(&mut cluster, &TopKQuery::top(*k)).unwrap();
-            let label = format!("{} (n={}, k={k})", protocol.name(), db.num_items());
-            assert_eq!(result.accesses, accesses, "accesses of {label}");
-            assert_eq!(result.network.messages, messages, "messages of {label}");
-            assert_eq!(result.network.payload_units, payload, "payload of {label}");
-            assert_eq!(result.rounds, rounds, "rounds of {label}");
+            let mut session = runtime.connect();
+            let result = kind.create().run_on(&mut session, &query).unwrap();
+            let network = session.network();
+            let label = format!("{kind:?} (n={}, k={k})", db.num_items());
+            assert_eq!(session.accesses_served(), accesses, "accesses of {label}");
+            assert_eq!(network.messages, messages, "messages of {label}");
+            assert_eq!(network.payload_units, payload, "payload of {label}");
+            assert_eq!(result.stats().rounds, rounds, "rounds of {label}");
+
+            // Repeated executions on one session are independent: the
+            // reset clears owner trackers and network tallies.
+            session.reset();
+            let again = kind.create().run_on(&mut session, &query).unwrap();
+            assert_eq!(again.items(), result.items(), "answers of {label}");
+            assert_eq!(session.network(), network, "network of {label}");
+            figures.push(network);
         }
+        let (bpa, bpa2) = (&figures[1], &figures[2]);
+        assert!(bpa2.payload_units < bpa.payload_units);
+        assert!(bpa2.messages <= bpa.messages);
     }
 }
 
-/// Any core algorithm — not just the four wrapped by protocols — returns
-/// identical answers over the cluster backend, with identical per-mode
-/// access counters.
+/// Any core algorithm — not just the three the distributed protocols
+/// drove — returns identical answers over a runtime session, with
+/// identical per-mode access counters.
 #[test]
 fn every_algorithm_is_backend_agnostic() {
     for kind in [
@@ -176,12 +199,11 @@ fn every_algorithm_is_backend_agnostic() {
         DatabaseKind::Correlated { alpha: 0.05 },
     ] {
         let db = DatabaseSpec::new(kind, 3, 300).generate(7);
+        let runtime = ClusterRuntime::spawn(&db);
         let query = TopKQuery::top(8);
         for algorithm in AlgorithmKind::ALL {
             let local = algorithm.create().run(&db, &query).unwrap();
-            let cluster = Cluster::new(&db);
-            let mut sources = ClusterSources::new(&cluster);
-            let remote = algorithm.create().run_on(&mut sources, &query).unwrap();
+            let (remote, _, _) = run_distributed(&runtime, algorithm, &query);
             assert!(
                 remote.scores_match(&local, 1e-9),
                 "{algorithm:?} answers diverge over the cluster backend"
@@ -195,42 +217,41 @@ fn every_algorithm_is_backend_agnostic() {
     }
 }
 
-/// Batching: the naive scan over a batched cluster returns the same
+/// Batching: the naive scan over a batched session returns the same
 /// answers while exchanging a small fraction of the messages.
 #[test]
 fn batched_cluster_scans_cut_messages_without_changing_answers() {
     let db = DatabaseSpec::new(DatabaseKind::Uniform, 3, 400).generate(11);
+    let runtime = ClusterRuntime::spawn(&db);
     let query = TopKQuery::top(10);
 
-    let unbatched_cluster = Cluster::new(&db);
-    let mut unbatched = ClusterSources::new(&unbatched_cluster);
+    let mut unbatched = runtime.connect();
     let reference = NaiveScan.run_on(&mut unbatched, &query).unwrap();
 
-    let batched_cluster = Cluster::new(&db);
-    let mut batched = ClusterSources::batched(&batched_cluster, 64);
+    let mut batched = AsyncClusterSources::batched(&runtime, 64);
     let result = NaiveScan.run_on(&mut batched, &query).unwrap();
 
     assert!(result.scores_match(&reference, 1e-9));
-    let full = unbatched_cluster.network();
-    let coalesced = batched_cluster.network();
+    let full = unbatched.network();
+    let coalesced = batched.network();
     // 400 per-position exchanges per list become ceil(400/64) = 7 blocks.
     assert_eq!(full.messages, 2 * 3 * 400);
     assert_eq!(coalesced.messages, 2 * 3 * 7);
     assert!(coalesced.payload_units < full.payload_units);
 }
 
-/// Tracked sorted blocks return identical `SourceEntry` sequences on
-/// both backends: the best-position piggyback is block-level (last entry
-/// only) everywhere, so consumers cannot observe which backend served
-/// them.
+/// Tracked sorted blocks return identical `SourceEntry` sequences in
+/// memory and over a session: the best-position piggyback is block-level
+/// (last entry only) everywhere, so consumers cannot observe which
+/// backend served them.
 #[test]
 fn tracked_sorted_blocks_agree_across_backends() {
     use bpa_topk::lists::{Position, Sources};
 
     let db = figure1_database();
     let mut in_memory = Sources::in_memory(&db);
-    let cluster = Cluster::new(&db);
-    let mut remote = ClusterSources::new(&cluster);
+    let runtime = ClusterRuntime::spawn(&db);
+    let mut remote = runtime.connect();
 
     for (start, len) in [(1, 4), (5, 3), (8, 99)] {
         let start = Position::new(start).unwrap();
@@ -248,20 +269,21 @@ fn tracked_sorted_blocks_agree_across_backends() {
     );
 }
 
-/// `run_all` over a cluster backend: the shared `SourceSet` is reset
-/// between algorithms, so each run reports the same counts as a dedicated
-/// cluster would.
+/// `run_all` over one *batched* session: the batching decorators are
+/// reset between algorithms along with the owners, so each run reports
+/// the answers and counters of a dedicated fresh batched session.
 #[test]
 fn run_all_over_a_cluster_resets_between_algorithms() {
     let db = figure1_database();
     let query = TopKQuery::top(3);
-    let cluster = Cluster::new(&db);
-    let mut sources = ClusterSources::new(&cluster);
+    let runtime = ClusterRuntime::spawn(&db);
+    let mut sources = AsyncClusterSources::batched(&runtime, 4);
     let results = run_all(&AlgorithmKind::EVALUATED, &mut sources, &query).unwrap();
     for (kind, result) in &results {
-        let fresh = kind.create().run(&db, &query).unwrap();
+        let mut dedicated = AsyncClusterSources::batched(&runtime, 4);
+        let fresh = kind.create().run_on(&mut dedicated, &query).unwrap();
         assert_eq!(result.stats().accesses, fresh.stats().accesses, "{kind:?}");
-        assert!(result.scores_match(&fresh, 1e-9), "{kind:?}");
+        assert_eq!(result.items(), fresh.items(), "{kind:?}");
     }
 }
 
@@ -282,53 +304,116 @@ fn run_all_over_a_runtime_session_resets_between_algorithms() {
     }
 }
 
-/// The async runtime is pinned to the synchronous `Cluster`: every one of
-/// the seven algorithms, on the paper's figure databases and all three
-/// datagen families, returns identical answers with identical access
-/// counters AND an identical `NetworkStats` — same messages, same payload,
-/// same rounds, same simulated serialized/overlapped timings — when both
-/// backends use the same latency model.
+/// (messages, payload units, rounds, serialized ns, makespan ns, peak-round
+/// messages) per algorithm in `AlgorithmKind::ALL` order, under
+/// `LatencyModel::lan(m, 2007)` — captured from the synchronous in-thread
+/// cluster before it was removed.
+type TimedBaseline = (u64, u64, usize, u64, u64, u64);
+
+/// The async runtime is pinned to the synchronous cluster it replaced:
+/// every one of the seven algorithms, on the paper's figure databases and
+/// all three datagen families, returns the in-memory run's answers and
+/// per-mode access counters, and reproduces the cluster's network figures
+/// — same messages, same payload, same rounds, same simulated
+/// serialized/overlapped timings, same peak round.
 #[test]
 fn async_runtime_matches_the_synchronous_cluster_everywhere() {
-    let mut databases = vec![figure1_database(), figure2_database()];
-    for kind in [
-        DatabaseKind::Uniform,
-        DatabaseKind::Gaussian,
-        DatabaseKind::Correlated { alpha: 0.05 },
-    ] {
-        databases.push(DatabaseSpec::new(kind, 4, 400).generate(42));
-    }
+    let generated = |kind| DatabaseSpec::new(kind, 4, 400).generate(42);
+    let cases: Vec<(Database, [TimedBaseline; 7])> = vec![
+        (
+            figure1_database(),
+            [
+                (72, 144, 1, 3620184, 1437492, 72),
+                (60, 108, 9, 3016052, 1197654, 12),
+                (108, 144, 6, 5425668, 2154702, 18),
+                (72, 108, 6, 3617880, 1436724, 18),
+                (54, 90, 3, 2713986, 1077735, 18),
+                (54, 75, 3, 2713026, 1077479, 18),
+                (70, 140, 3, 3500393, 1317701, 52),
+            ],
+        ),
+        (
+            figure2_database(),
+            [
+                (72, 144, 1, 3620184, 1437492, 72),
+                (72, 120, 9, 3618648, 1436980, 24),
+                (126, 168, 7, 6329946, 2513819, 18),
+                (90, 132, 7, 4522158, 1795841, 18),
+                (126, 210, 7, 6332634, 2514715, 18),
+                (72, 100, 4, 3617368, 1436660, 18),
+                (70, 140, 3, 3500393, 1317701, 52),
+            ],
+        ),
+        (
+            generated(DatabaseKind::Uniform),
+            [
+                (3200, 6400, 1, 146602400, 47916400, 3200),
+                (2592, 3656, 134, 118650152, 38787836, 1528),
+                (2592, 3240, 81, 118623528, 38781180, 32),
+                (2082, 2730, 81, 95307445, 32400296, 32),
+                (2592, 4212, 81, 118685736, 38796732, 32),
+                (1920, 2401, 60, 87869344, 28726800, 32),
+                (2434, 4868, 3, 112136804, 37614374, 2410),
+            ],
+        ),
+        (
+            generated(DatabaseKind::Gaussian),
+            [
+                (3200, 6400, 1, 146602400, 47916400, 3200),
+                (2272, 3144, 110, 103998104, 33998244, 1400),
+                (1280, 1600, 40, 58579520, 19151200, 32),
+                (1142, 1462, 40, 52169863, 17192861, 32),
+                (1280, 2080, 40, 58610240, 19158880, 32),
+                (1088, 1361, 34, 49792656, 16278520, 32),
+                (3064, 6128, 3, 140132119, 45760162, 3040),
+            ],
+        ),
+        (
+            generated(DatabaseKind::Correlated { alpha: 0.05 }),
+            [
+                (3200, 6400, 1, 146602400, 47916400, 3200),
+                (200, 304, 14, 9156506, 2993239, 96),
+                (160, 200, 5, 7322440, 2393900, 32),
+                (124, 164, 5, 5607008, 1826124, 32),
+                (160, 260, 5, 7326280, 2394860, 32),
+                (96, 124, 3, 4393720, 1436340, 32),
+                (108, 172, 3, 4946377, 1676306, 44),
+            ],
+        ),
+    ];
 
-    for db in &databases {
+    for (which, (db, baselines)) in cases.iter().enumerate() {
         let m = db.num_lists();
-        let latency = LatencyModel::lan(m, 2007);
-        let runtime = ClusterRuntime::with_latency(db, TrackerKind::BitArray, latency.clone());
-        let k = 3.min(db.num_items());
-        let query = TopKQuery::top(k);
+        let runtime =
+            ClusterRuntime::with_latency(db, TrackerKind::BitArray, LatencyModel::lan(m, 2007));
+        let query = TopKQuery::top(3);
 
-        for algorithm in AlgorithmKind::ALL {
-            let cluster = Cluster::with_latency(db, TrackerKind::BitArray, latency.clone());
-            let mut sync = ClusterSources::new(&cluster);
-            let reference = algorithm.create().run_on(&mut sync, &query).unwrap();
-
-            let mut session = runtime.connect();
-            let result = algorithm.create().run_on(&mut session, &query).unwrap();
+        for (algorithm, expected) in AlgorithmKind::ALL.into_iter().zip(baselines) {
+            let reference = algorithm.create().run(db, &query).unwrap();
+            let (result, network, served) = run_distributed(&runtime, algorithm, &query);
 
             assert!(
                 result.scores_match(&reference, 1e-9),
-                "{algorithm:?} answers diverge over the async runtime"
+                "db {which}: {algorithm:?} answers diverge over the async runtime"
             );
             assert_eq!(
                 result.stats().accesses,
                 reference.stats().accesses,
-                "{algorithm:?} access counters diverge over the async runtime"
+                "db {which}: {algorithm:?} access counters diverge over the async runtime"
+            );
+            assert_eq!(served, reference.stats().total_accesses());
+            let figures = (
+                network.messages,
+                network.payload_units,
+                network.rounds(),
+                network.serialized_nanos(),
+                network.makespan_nanos(),
+                network.peak_round().map_or(0, |r| r.messages),
             );
             assert_eq!(
-                session.network(),
-                cluster.network(),
-                "{algorithm:?} network accounting diverges over the async runtime"
+                &figures, expected,
+                "db {which}: {algorithm:?} network accounting diverges from the pinned figures"
             );
-            assert_eq!(session.accesses_served(), cluster.accesses_served());
         }
     }
 }

@@ -2,16 +2,73 @@
 //! whole workspace (generators → algorithms → cost model).
 //!
 //! The theorems and lemmas of Sections 4 and 5 are checked on the worked
-//! example databases and on generated databases of every family.
+//! example databases and on generated databases of every family. The
+//! access-count invariants (Lemmas 1 and 2, Theorems 5 and 7) are checked
+//! on every backend, because they are claims about the algorithms, not
+//! about where the lists live.
 
 use bpa_topk::core::examples_paper::{figure1_database, figure2_database};
 use bpa_topk::datagen::{DatabaseKind, DatabaseSpec};
+use bpa_topk::distributed::ClusterRuntime;
+use bpa_topk::lists::{Database, ShardedDatabase, SourceSet};
+use bpa_topk::pool::ThreadPool;
 use bpa_topk::prelude::*;
 
 /// Moderate sizes keep the whole suite fast in debug builds while still
 /// exercising non-trivial stopping behaviour.
 const N: usize = 3_000;
 const SEEDS: [u64; 3] = [1, 7, 2007];
+
+/// Where the lists of a checked database live.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    InMemory,
+    Sharded,
+    Paged,
+    ClusterSession,
+}
+
+const BACKENDS: [Backend; 4] = [
+    Backend::InMemory,
+    Backend::Sharded,
+    Backend::Paged,
+    Backend::ClusterSession,
+];
+
+impl Backend {
+    /// Every seed in memory; one elsewhere, which keeps debug test time
+    /// bounded (the other backends repeat the same access sequence).
+    fn seeds(self) -> &'static [u64] {
+        match self {
+            Backend::InMemory => &SEEDS,
+            _ => &SEEDS[..1],
+        }
+    }
+
+    /// Runs each algorithm over this backend's sources for `db`, one
+    /// result per entry of `kinds`, resetting the sources in between.
+    fn run(self, db: &Database, kinds: &[AlgorithmKind], query: &TopKQuery) -> Vec<TopKResult> {
+        let run_all = |sources: &mut dyn SourceSet| {
+            let results = run_all(kinds, sources, query).unwrap();
+            results.into_iter().map(|(_, result)| result).collect()
+        };
+        match self {
+            Backend::InMemory => run_all(&mut Sources::in_memory(db)),
+            Backend::Sharded => {
+                let pool = ThreadPool::new(2);
+                let sharded = ShardedDatabase::new(db, 4);
+                let mut sources = sharded.sources(&pool);
+                run_all(&mut sources)
+            }
+            Backend::Paged => {
+                let dir = ScratchDir::new("paper-claims");
+                let paged = PagedDatabase::create(dir.path(), db, PageLayout::default()).unwrap();
+                run_all(&mut paged.sources(CacheCapacity::Pages(16)).unwrap())
+            }
+            Backend::ClusterSession => run_all(&mut ClusterRuntime::spawn(db).connect()),
+        }
+    }
+}
 
 fn specs(m: usize) -> Vec<DatabaseSpec> {
     vec![
@@ -84,23 +141,26 @@ fn all_algorithms_agree_on_generated_databases() {
 
 #[test]
 fn lemma_1_and_2_bpa_never_does_more_accesses_than_ta() {
-    for spec in specs(5) {
-        for &seed in &SEEDS {
-            let db = spec.generate(seed);
-            for k in [1, 20] {
-                let query = TopKQuery::top(k);
-                let ta = Ta::literal().run(&db, &query).unwrap();
-                let bpa = Bpa::default().run(&db, &query).unwrap();
-                assert!(
-                    bpa.stats().accesses.sorted <= ta.stats().accesses.sorted,
-                    "Lemma 1 violated on {:?} seed {seed} k {k}",
-                    spec.kind
-                );
-                assert!(
-                    bpa.stats().accesses.random <= ta.stats().accesses.random,
-                    "Lemma 2 violated on {:?} seed {seed} k {k}",
-                    spec.kind
-                );
+    for backend in BACKENDS {
+        for spec in specs(5) {
+            for &seed in backend.seeds() {
+                let db = spec.generate(seed);
+                for k in [1, 20] {
+                    let query = TopKQuery::top(k);
+                    let kinds = [AlgorithmKind::Ta, AlgorithmKind::Bpa];
+                    let results = backend.run(&db, &kinds, &query);
+                    let (ta, bpa) = (&results[0], &results[1]);
+                    assert!(
+                        bpa.stats().accesses.sorted <= ta.stats().accesses.sorted,
+                        "Lemma 1 violated on {backend:?} {:?} seed {seed} k {k}",
+                        spec.kind
+                    );
+                    assert!(
+                        bpa.stats().accesses.random <= ta.stats().accesses.random,
+                        "Lemma 2 violated on {backend:?} {:?} seed {seed} k {k}",
+                        spec.kind
+                    );
+                }
             }
         }
     }
@@ -120,33 +180,38 @@ fn theorem_2_bpa_execution_cost_never_exceeds_ta() {
 
 #[test]
 fn theorem_7_bpa2_never_does_more_accesses_than_bpa() {
-    for spec in specs(5) {
-        for &seed in &SEEDS {
-            let db = spec.generate(seed);
-            let query = TopKQuery::top(20);
-            let bpa = Bpa::default().run(&db, &query).unwrap();
-            let bpa2 = Bpa2::default().run(&db, &query).unwrap();
-            assert!(
-                bpa2.stats().total_accesses() <= bpa.stats().total_accesses(),
-                "Theorem 7 violated on {:?} seed {seed}",
-                spec.kind
-            );
+    for backend in BACKENDS {
+        for spec in specs(5) {
+            for &seed in backend.seeds() {
+                let db = spec.generate(seed);
+                let query = TopKQuery::top(20);
+                let kinds = [AlgorithmKind::Bpa, AlgorithmKind::Bpa2];
+                let results = backend.run(&db, &kinds, &query);
+                let (bpa, bpa2) = (&results[0], &results[1]);
+                assert!(
+                    bpa2.stats().total_accesses() <= bpa.stats().total_accesses(),
+                    "Theorem 7 violated on {backend:?} {:?} seed {seed}",
+                    spec.kind
+                );
+            }
         }
     }
 }
 
 #[test]
 fn theorem_5_bpa2_accesses_each_list_at_most_n_times() {
-    for spec in specs(4) {
-        let db = spec.generate(3);
-        let result = Bpa2::default().run(&db, &TopKQuery::top(20)).unwrap();
-        for (i, per_list) in result.stats().per_list.iter().enumerate() {
-            assert!(
-                per_list.total() <= N as u64,
-                "list {i} of {:?} accessed {} times for n = {N}",
-                spec.kind,
-                per_list.total()
-            );
+    for backend in BACKENDS {
+        for spec in specs(4) {
+            let db = spec.generate(3);
+            let results = backend.run(&db, &[AlgorithmKind::Bpa2], &TopKQuery::top(20));
+            for (i, per_list) in results[0].stats().per_list.iter().enumerate() {
+                assert!(
+                    per_list.total() <= N as u64,
+                    "list {i} of {backend:?} {:?} accessed {} times for n = {N}",
+                    spec.kind,
+                    per_list.total()
+                );
+            }
         }
     }
 }

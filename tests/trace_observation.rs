@@ -146,7 +146,7 @@ fn tracing_leaves_paged_runs_and_cache_counters_bit_identical() {
     }
 }
 
-/// Cluster backend: tracing changes neither the answers nor a single
+/// Cluster-runtime backend: tracing changes neither the answers nor a single
 /// field of the `NetworkStats` — message counts, payload units and the
 /// simulated schedule are untouched by observation.
 #[test]
