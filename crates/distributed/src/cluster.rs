@@ -210,6 +210,22 @@ mod tests {
     }
 
     #[test]
+    fn tail_scores_are_catalog_metadata() {
+        let db = figure1_database();
+        let runtime = ClusterRuntime::spawn(&db);
+        let session = runtime.connect();
+        for i in 0..runtime.num_owners() {
+            let expected = db.list(i).unwrap().last_entry().score;
+            assert_eq!(session.source_ref(i).tail_score(), expected);
+        }
+        assert_eq!(
+            session.network().messages,
+            0,
+            "catalog reads are not messages"
+        );
+    }
+
+    #[test]
     fn send_counts_messages_and_payload() {
         let mut recorder = NetworkRecorder::new(3, LatencyModel::zero(3));
         exchange(&mut recorder, 0, 1);

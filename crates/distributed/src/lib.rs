@@ -62,6 +62,8 @@ pub mod fault;
 pub mod latency;
 pub mod message;
 pub mod owner;
+#[cfg(test)]
+mod protocol;
 pub mod runtime;
 mod source;
 

@@ -1,188 +1,34 @@
-//! Query-originator protocols: distributed Naive, TA, BPA and BPA2.
-//!
-//! A protocol is now a *thin adapter*: it picks a `topk_core` algorithm
-//! and executes it over [`ClusterSources`], the
-//! [`SourceSet`](topk_lists::source::SourceSet) backend that maps trait
-//! calls onto the typed [`Request`](crate::Request) /
-//! [`Response`](crate::Response) messages. The algorithm bodies that used
-//! to be duplicated here (431 lines of TA/BPA/BPA2 re-implemented against
-//! `Cluster`) are gone — the distributed behaviour *is* the core
-//! behaviour, message for message:
-//!
-//! * distributed TA requests untracked sorted accesses and positionless
-//!   random accesses, because core `Ta` asks for exactly those;
-//! * distributed BPA receives item positions on every random access (core
-//!   `Bpa` passes `with_position: true` — the originator-side burden
-//!   Section 5 criticises);
-//! * distributed BPA2 drives `DirectAccessNext` and tracked random
-//!   accesses, with best-position scores piggybacked owner-side, because
-//!   that is how core `Bpa2` speaks to any backend.
-
-use topk_core::{Bpa, Bpa2, NaiveScan, RankedItem, Ta, TopKAlgorithm, TopKError, TopKQuery};
-
-use crate::cluster::{Cluster, NetworkStats};
-use crate::runtime::ClusterRuntime;
-use crate::source::ClusterSources;
-
-/// The outcome of a distributed query execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedResult {
-    /// The top-k answers in descending overall-score order.
-    pub answers: Vec<RankedItem>,
-    /// Messages and payload exchanged between originator and owners,
-    /// including the per-round breakdown.
-    pub network: NetworkStats,
-    /// Total list accesses served by the owners.
-    pub accesses: u64,
-    /// Number of rounds the originator drove.
-    pub rounds: u64,
-}
-
-/// A distributed top-k protocol driven by the query originator.
-pub trait DistributedProtocol {
-    /// Short identifier used in reports.
-    fn name(&self) -> &'static str;
-
-    /// The core algorithm this protocol drives over the wire.
-    fn algorithm(&self) -> Box<dyn TopKAlgorithm>;
-
-    /// Executes the query against a cluster of list owners by running
-    /// [`DistributedProtocol::algorithm`] over [`ClusterSources`].
-    ///
-    /// Every execution is a fresh query: the cluster's per-query owner
-    /// state (seen positions, served-access counts) and network tallies
-    /// are [`reset`](Cluster::reset) first, so the same cluster can serve
-    /// any number of queries and the returned [`DistributedResult`]
-    /// always describes exactly one of them.
-    fn execute(
-        &self,
-        cluster: &mut Cluster,
-        query: &TopKQuery,
-    ) -> Result<DistributedResult, TopKError> {
-        cluster.reset();
-        let result = {
-            let mut sources = ClusterSources::new(cluster);
-            self.algorithm().run_on(&mut sources, query)?
-        };
-        Ok(DistributedResult {
-            answers: result.items().to_vec(),
-            network: cluster.network(),
-            accesses: cluster.accesses_served(),
-            rounds: result.stats().rounds,
-        })
-    }
-
-    /// As [`DistributedProtocol::execute`], over the asynchronous
-    /// message-passing [`ClusterRuntime`]: opens a fresh session (so no
-    /// reset is needed — sessions are born clean and isolated) and runs
-    /// the same core algorithm over the worker threads' channels.
-    ///
-    /// With the same [`LatencyModel`](crate::LatencyModel) the returned
-    /// [`DistributedResult`] is identical to [`execute`]'s — same
-    /// answers, same messages, same simulated timings — which is exactly
-    /// the cross-backend guarantee `tests/cross_backend.rs` pins.
-    ///
-    /// [`execute`]: DistributedProtocol::execute
-    fn execute_on_runtime(
-        &self,
-        runtime: &ClusterRuntime,
-        query: &TopKQuery,
-    ) -> Result<DistributedResult, TopKError> {
-        let mut sources = runtime.connect();
-        let result = self.algorithm().run_on(&mut sources, query)?;
-        Ok(DistributedResult {
-            answers: result.items().to_vec(),
-            network: sources.network(),
-            accesses: sources.accesses_served(),
-            rounds: result.stats().rounds,
-        })
-    }
-}
-
-/// Distributed naive scan: every list shipped entry by entry — the
-/// baseline that makes the message savings of the threshold family
-/// visible in distributed benches, exactly as the local sweeps have the
-/// in-memory [`NaiveScan`] baseline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DistributedNaive;
-
-impl DistributedProtocol for DistributedNaive {
-    fn name(&self) -> &'static str {
-        "distributed-naive"
-    }
-
-    fn algorithm(&self) -> Box<dyn TopKAlgorithm> {
-        Box::new(NaiveScan)
-    }
-}
-
-/// Distributed Threshold Algorithm: the direct adaptation of TA where the
-/// originator requests one sorted access per list per round and `m - 1`
-/// random accesses per item seen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DistributedTa;
-
-impl DistributedProtocol for DistributedTa {
-    fn name(&self) -> &'static str {
-        "distributed-ta"
-    }
-
-    fn algorithm(&self) -> Box<dyn TopKAlgorithm> {
-        Box::new(Ta::literal())
-    }
-}
-
-/// Distributed BPA: like distributed TA but the originator additionally
-/// requests item positions on every random access and maintains the seen
-/// positions (and their local scores) itself — exactly the originator-side
-/// burden that Section 5 criticises and BPA2 removes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DistributedBpa;
-
-impl DistributedProtocol for DistributedBpa {
-    fn name(&self) -> &'static str {
-        "distributed-bpa"
-    }
-
-    fn algorithm(&self) -> Box<dyn TopKAlgorithm> {
-        Box::new(Bpa::default())
-    }
-}
-
-/// Distributed BPA2: best positions live at the owners, the originator only
-/// keeps the answer buffer and the `m` current best-position scores
-/// (Section 5.1: "the only data that the query originator must maintain is
-/// the set Y … and the local scores of the m best positions").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DistributedBpa2;
-
-impl DistributedProtocol for DistributedBpa2 {
-    fn name(&self) -> &'static str {
-        "distributed-bpa2"
-    }
-
-    fn algorithm(&self) -> Box<dyn TopKAlgorithm> {
-        Box::new(Bpa2::default())
-    }
-}
+//! Protocol-level checks: the paper's algorithms executed as distributed
+//! protocols over [`ClusterRuntime`] sessions, against their in-memory
+//! runs and the paper's message-count argument (Section 5).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use topk_core::examples_paper::{figure1_database, figure2_database};
-    use topk_core::{Bpa, Bpa2, Ta, TopKAlgorithm};
+    use topk_core::{AlgorithmKind, TopKError, TopKQuery, TopKResult};
+    use topk_lists::source::SourceSet;
+    use topk_lists::Database;
 
-    fn scores(result: &DistributedResult) -> Vec<f64> {
-        result.answers.iter().map(|r| r.score.value()).collect()
-    }
+    use crate::{ClusterRuntime, NetworkStats};
 
-    fn all_protocols() -> Vec<Box<dyn DistributedProtocol>> {
-        vec![
-            Box::new(DistributedNaive),
-            Box::new(DistributedTa),
-            Box::new(DistributedBpa),
-            Box::new(DistributedBpa2),
-        ]
+    /// The algorithms the paper discusses as distributed protocols.
+    const PROTOCOLS: [AlgorithmKind; 4] = [
+        AlgorithmKind::Naive,
+        AlgorithmKind::Ta,
+        AlgorithmKind::Bpa,
+        AlgorithmKind::Bpa2,
+    ];
+
+    /// One run on a fresh session: the result, the accesses the owners
+    /// served and the session's network statistics.
+    fn execute(db: &Database, kind: AlgorithmKind, k: usize) -> (TopKResult, u64, NetworkStats) {
+        let runtime = ClusterRuntime::spawn(db);
+        let mut session = runtime.connect();
+        let result = kind
+            .create()
+            .run_on(&mut session, &TopKQuery::top(k))
+            .unwrap();
+        (result, session.accesses_served(), session.network())
     }
 
     #[test]
@@ -190,19 +36,10 @@ mod tests {
         for db in [figure1_database(), figure2_database()] {
             for k in [1, 3, 6, 12] {
                 let query = TopKQuery::top(k);
-                let reference = Ta::literal().run(&db, &query).unwrap();
-                let reference_scores: Vec<f64> =
-                    reference.scores().iter().map(|s| s.value()).collect();
-
-                for protocol in all_protocols() {
-                    let mut cluster = Cluster::new(&db);
-                    let result = protocol.execute(&mut cluster, &query).unwrap();
-                    assert_eq!(
-                        scores(&result),
-                        reference_scores,
-                        "{} with k = {k}",
-                        protocol.name()
-                    );
+                let reference = AlgorithmKind::Ta.create().run(&db, &query).unwrap();
+                for kind in PROTOCOLS {
+                    let (result, _, _) = execute(&db, kind, k);
+                    assert_eq!(result.scores(), reference.scores(), "{kind:?} k = {k}");
                 }
             }
         }
@@ -212,56 +49,40 @@ mod tests {
     fn message_counts_are_proportional_to_accesses() {
         // "The number of messages … is proportional to the number of
         // accesses done to the lists": one request + one response each.
-        // (BPA2's final exhausted direct probes are the only exception and
-        // only occur once the whole list has been read, which never
-        // happens on this query.)
         let db = figure1_database();
-        for protocol in all_protocols() {
-            let mut cluster = Cluster::new(&db);
-            let result = protocol.execute(&mut cluster, &TopKQuery::top(3)).unwrap();
-            assert_eq!(
-                result.network.messages,
-                2 * result.accesses,
-                "{}",
-                protocol.name()
-            );
+        for kind in PROTOCOLS {
+            let (_, accesses, network) = execute(&db, kind, 3);
+            assert_eq!(network.messages, 2 * accesses, "{kind:?}");
         }
     }
 
     #[test]
     fn distributed_runs_match_centralized_access_counts() {
         let db = figure1_database();
-        let query = TopKQuery::top(3);
-
-        let mut cluster = Cluster::new(&db);
-        let d_ta = DistributedTa.execute(&mut cluster, &query).unwrap();
-        let c_ta = Ta::literal().run(&db, &query).unwrap();
-        assert_eq!(d_ta.accesses, c_ta.stats().total_accesses());
-
-        let mut cluster = Cluster::new(&db);
-        let d_bpa = DistributedBpa.execute(&mut cluster, &query).unwrap();
-        let c_bpa = Bpa::default().run(&db, &query).unwrap();
-        assert_eq!(d_bpa.accesses, c_bpa.stats().total_accesses());
-
-        let mut cluster = Cluster::new(&db);
-        let d_naive = DistributedNaive.execute(&mut cluster, &query).unwrap();
-        assert_eq!(d_naive.accesses, (3 * 12) as u64);
+        for kind in [AlgorithmKind::Ta, AlgorithmKind::Bpa] {
+            let local = kind.create().run(&db, &TopKQuery::top(3)).unwrap();
+            let (_, accesses, _) = execute(&db, kind, 3);
+            assert_eq!(accesses, local.stats().total_accesses(), "{kind:?}");
+        }
+        let (_, naive_accesses, _) = execute(&db, AlgorithmKind::Naive, 3);
+        assert_eq!(naive_accesses, 3 * 12);
     }
 
     #[test]
     fn distributed_bpa2_matches_centralized_bpa2_on_figure2() {
         let db = figure2_database();
-        let query = TopKQuery::top(3);
-        let mut cluster = Cluster::new(&db);
-        let d = DistributedBpa2.execute(&mut cluster, &query).unwrap();
-        let c = Bpa2::default().run(&db, &query).unwrap();
-        assert_eq!(d.accesses, c.stats().total_accesses());
-        assert_eq!(d.accesses, 36);
-        assert_eq!(d.rounds, 4);
+        let local = AlgorithmKind::Bpa2
+            .create()
+            .run(&db, &TopKQuery::top(3))
+            .unwrap();
+        let (result, accesses, network) = execute(&db, AlgorithmKind::Bpa2, 3);
+        assert_eq!(accesses, local.stats().total_accesses());
+        assert_eq!(accesses, 36);
+        assert_eq!(result.stats().rounds, 4);
         // Per-round accounting: one bucket per round, summing to the total.
-        assert_eq!(d.network.rounds() as u64, d.rounds);
-        let sum: u64 = d.network.per_round.iter().map(|r| r.messages).sum();
-        assert_eq!(sum, d.network.messages);
+        assert_eq!(network.rounds(), 4);
+        let sum: u64 = network.per_round.iter().map(|r| r.messages).sum();
+        assert_eq!(sum, network.messages);
     }
 
     #[test]
@@ -270,49 +91,48 @@ mod tests {
         // access; BPA2 does not. On top of doing fewer accesses, each BPA2
         // response is therefore smaller.
         let db = figure2_database();
-        let query = TopKQuery::top(3);
-
-        let mut cluster = Cluster::new(&db);
-        let bpa = DistributedBpa.execute(&mut cluster, &query).unwrap();
-        let mut cluster = Cluster::new(&db);
-        let bpa2 = DistributedBpa2.execute(&mut cluster, &query).unwrap();
-
-        assert!(bpa2.accesses < bpa.accesses);
-        assert!(bpa2.network.payload_units < bpa.network.payload_units);
-        assert!(bpa2.network.messages < bpa.network.messages);
+        let (_, bpa_accesses, bpa) = execute(&db, AlgorithmKind::Bpa, 3);
+        let (_, bpa2_accesses, bpa2) = execute(&db, AlgorithmKind::Bpa2, 3);
+        assert!(bpa2_accesses < bpa_accesses);
+        assert!(bpa2.payload_units < bpa.payload_units);
+        assert!(bpa2.messages < bpa.messages);
     }
 
     #[test]
     fn a_cluster_serves_repeated_executions_independently() {
-        // Owner trackers and network tallies reset per execution, so a
-        // second run on the same cluster reports the same answers and
-        // figures as the first (BPA2's owner-side trackers would
-        // otherwise be exhausted and return no answers at all).
+        // A session reset clears owner trackers and network tallies, so a
+        // second run on the same session reports the same answers and
+        // figures as the first (BPA2's owner-side trackers would otherwise
+        // start out exhausted).
         let db = figure2_database();
         let query = TopKQuery::top(3);
-        let mut cluster = Cluster::new(&db);
-        let first = DistributedBpa2.execute(&mut cluster, &query).unwrap();
-        let second = DistributedBpa2.execute(&mut cluster, &query).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(second.accesses, 36);
-        assert_eq!(second.network.messages, 72);
+        let runtime = ClusterRuntime::spawn(&db);
+        let mut session = runtime.connect();
+        let bpa2 = AlgorithmKind::Bpa2.create();
+        let first = bpa2.run_on(&mut session, &query).unwrap();
+        let first_network = session.network();
+        session.reset();
+        let second = bpa2.run_on(&mut session, &query).unwrap();
+        assert_eq!(first.items(), second.items());
+        assert_eq!(first.stats().accesses, second.stats().accesses);
+        assert_eq!(first.stats().rounds, second.stats().rounds);
+        assert_eq!(session.network(), first_network);
+        assert_eq!(session.accesses_served(), 36);
+        assert_eq!(session.network().messages, 72);
     }
 
     #[test]
     fn protocols_expose_names_and_validate_k() {
-        assert_eq!(DistributedNaive.name(), "distributed-naive");
-        assert_eq!(DistributedTa.name(), "distributed-ta");
-        assert_eq!(DistributedBpa.name(), "distributed-bpa");
-        assert_eq!(DistributedBpa2.name(), "distributed-bpa2");
+        let names: Vec<&str> = PROTOCOLS.iter().map(|kind| kind.create().name()).collect();
+        assert_eq!(names, ["naive", "ta", "bpa", "bpa2"]);
         let db = figure1_database();
-        let mut cluster = Cluster::new(&db);
-        assert!(matches!(
-            DistributedTa.execute(&mut cluster, &TopKQuery::top(0)),
-            Err(TopKError::InvalidK { .. })
-        ));
-        assert!(matches!(
-            DistributedBpa2.execute(&mut cluster, &TopKQuery::top(100)),
-            Err(TopKError::InvalidK { .. })
-        ));
+        let runtime = ClusterRuntime::spawn(&db);
+        let mut session = runtime.connect();
+        for (kind, k) in [(AlgorithmKind::Ta, 0), (AlgorithmKind::Bpa2, 100)] {
+            assert!(matches!(
+                kind.create().run_on(&mut session, &TopKQuery::top(k)),
+                Err(TopKError::InvalidK { .. })
+            ));
+        }
     }
 }
